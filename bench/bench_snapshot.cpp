@@ -15,6 +15,7 @@
 #include "bench/bench_common.h"
 #include "src/core/world.h"
 #include "src/snapshot/world_io.h"
+#include "tests/temp_dir.h"
 
 namespace {
 
@@ -34,8 +35,7 @@ int main(int argc, char** argv) {
     const auto args =
         bench::bench_args::parse(argc, argv, "bench_snapshot", 3, "BENCH_snapshot.json");
 
-    const auto path =
-        (std::filesystem::temp_directory_path() / "ac_bench_snapshot.acx").string();
+    const auto path = (test_support::process_temp_dir() / "snapshot.acx").string();
 
     bench::report report{"snapshot", "small", args.repeat};
     report.set_note("load = open + full checksum verification; hydrate adds dataset "
@@ -84,8 +84,7 @@ int main(int argc, char** argv) {
 
     // The all-plain v1 container of the same world, for the compression
     // headline (v2 stores columns encoded; see src/table/encoding.h).
-    const auto v1_path =
-        (std::filesystem::temp_directory_path() / "ac_bench_snapshot_v1.acx").string();
+    const auto v1_path = (test_support::process_temp_dir() / "snapshot_v1.acx").string();
     snapshot::save_world(w, v1_path, 1);
     const auto v1_file_bytes = std::filesystem::file_size(v1_path);
     std::remove(v1_path.c_str());

@@ -31,6 +31,7 @@
 #include "bench/bench_common.h"
 #include "src/sweep/driver.h"
 #include "src/sweep/spec.h"
+#include "tests/temp_dir.h"
 
 namespace {
 
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
 
     const auto grid = small_grid();
     namespace fs = std::filesystem;
-    const fs::path out_dir = fs::temp_directory_path() / "ac_bench_sweep_grid";
+    const fs::path out_dir = test_support::process_temp_dir() / "grid";
 
     std::cerr << "building " << grid.cell_count() << "-cell small grid x" << args.repeat
               << "...\n";
@@ -122,8 +123,7 @@ int main(int argc, char** argv) {
     fs::remove_all(out_dir);
 
     std::cerr << "building one large-tier cell...\n";
-    const fs::path large_dir = fs::temp_directory_path() / "ac_bench_sweep_large";
-    fs::remove_all(large_dir);
+    const fs::path large_dir = test_support::process_temp_dir() / "large";
     const auto large_start = clock_type::now();
     const auto large_result = sweep::run_grid(large_cell(), large_dir.string(), options);
     const double large_wall = bench::ms_since(large_start);

@@ -22,6 +22,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 2)
+# Tier-1 ctest runs at least 4 processes at once even on a 1-2 core runner,
+# so tests that share on-disk state across processes cannot pass by luck.
+test_jobs=$(( jobs < 4 ? 4 : jobs ))
 
 run_tier1=1
 run_unit=0
@@ -96,7 +99,7 @@ fi
 if [[ ${run_unit} -eq 1 ]]; then
     cmake -B build -S .
     cmake --build build -j "${jobs}"
-    ctest --test-dir build --output-on-failure -j "${jobs}" -L unit
+    ctest --test-dir build --output-on-failure -j "${test_jobs}" -L unit
     echo "verify: unit lane OK"
 fi
 
@@ -104,8 +107,8 @@ if [[ ${run_tier1} -eq 1 ]]; then
     cmake -B build -S .
     cmake --build build -j "${jobs}"
     # Fast-fail lane first, then everything else (golden, slow, cli).
-    ctest --test-dir build --output-on-failure -j "${jobs}" -L unit
-    ctest --test-dir build --output-on-failure -j "${jobs}" -LE unit
+    ctest --test-dir build --output-on-failure -j "${test_jobs}" -L unit
+    ctest --test-dir build --output-on-failure -j "${test_jobs}" -LE unit
 
     # Snapshot round trip: the figures recomputed from an archived world must
     # be byte-identical to the ones computed from a live build — and the

@@ -74,6 +74,25 @@ obs::counter& reconverge_shards_counter() {
     return c;
 }
 
+/// Early exit: the interconnection point of `link` nearest region `from`,
+/// with its distance. A strict-less scan in the link's listed order, so the
+/// first listed region wins ties; one distance-matrix read per candidate.
+struct interconnect_choice {
+    topo::region_id region = 0;
+    double km = 0.0;
+};
+interconnect_choice nearest_interconnect(const topo::as_link& link,
+                                         const topo::region_table& regions,
+                                         topo::region_id from) {
+    interconnect_choice best{link.interconnect_regions.front(),
+                             std::numeric_limits<double>::infinity()};
+    for (const topo::region_id p : link.interconnect_regions) {
+        const double d = regions.distance_km(from, p);
+        if (d < best.km) best = {p, d};
+    }
+    return best;
+}
+
 bool better(route_class cls, std::uint8_t len, route_class incumbent_cls,
             std::uint8_t incumbent_len) {
     if (cls != incumbent_cls) return cls < incumbent_cls;
@@ -114,7 +133,6 @@ anycast_rib::anycast_rib(const topo::as_graph& graph, const topo::region_table& 
     asns_.reserve(graph.as_count());
     for (const auto& as : graph.all()) asns_.push_back(as.asn);
     as_count_ = asns_.size();
-    region_count_ = regions.size();
     link_count_ = graph.link_count();
 
     const std::size_t cells = announcements_.size() * as_count_;
@@ -377,30 +395,6 @@ void anycast_rib::build_fast_path(engine::thread_pool* pool) {
             }
         }
     });
-
-    // Per-link nearest interconnect, resolving every early-exit min-distance
-    // scan in evaluate()/select() to a single lookup. Same iteration order
-    // and strict-less comparison as the scans it replaces, over the same
-    // distance-matrix values, so the chosen region is identical.
-    const std::size_t links = graph_->link_count();
-    nearest_interconnect_.resize(links * region_count_);
-    engine::parallel_over(pool, links, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t l = begin; l < end; ++l) {
-            const auto& link = graph_->link(static_cast<std::uint32_t>(l));
-            for (std::size_t r = 0; r < region_count_; ++r) {
-                topo::region_id best_p = link.interconnect_regions.front();
-                double best_km = std::numeric_limits<double>::infinity();
-                for (const topo::region_id p : link.interconnect_regions) {
-                    const double d = regions_->distance_km(static_cast<topo::region_id>(r), p);
-                    if (d < best_km) {
-                        best_km = d;
-                        best_p = p;
-                    }
-                }
-                nearest_interconnect_[l * region_count_ + r] = best_p;
-            }
-        }
-    });
 }
 
 std::vector<site_id> anycast_rib::best_candidates(topo::asn_t asn) const {
@@ -467,14 +461,13 @@ std::optional<path_result> anycast_rib::evaluate_indexed(std::size_t as, topo::a
 
     while (static_cast<route_class>(cls_[cell(site, cur)]) != route_class::origin) {
         result.as_path.push_back(asns_[cur]);
-        const std::uint32_t l = link_[cell(site, cur)];
+        const auto& link = graph_->link(link_[cell(site, cur)]);
         // Early exit: cross to the next AS at the interconnection point
-        // nearest our current position (precomputed per link).
-        const topo::region_id best_region = nearest_interconnect_[l * region_count_ + here];
-        const double best_km = regions_->distance_km(here, best_region);
-        result.path_km += best_km;
-        weighted_km += best_km * graph_->link(l).circuitousness;
-        here = best_region;
+        // nearest our current position.
+        const auto exit = nearest_interconnect(link, *regions_, here);
+        result.path_km += exit.km;
+        weighted_km += exit.km * link.circuitousness;
+        here = exit.region;
         ++hops;
         cur = next_idx_[cell(site, cur)];
     }
@@ -512,16 +505,15 @@ std::optional<path_result> anycast_rib::select_indexed(std::size_t as, topo::asn
         if (static_cast<route_class>(cls_[c]) == route_class::origin) {
             first_km = regions_->distance_km(region, announcements_[s].origin_region);
         } else {
-            const std::uint32_t l = link_[c];
-            first_km = regions_->distance_km(region,
-                                             nearest_interconnect_[l * region_count_ + region]);
+            const auto& link = graph_->link(link_[c]);
+            first_km = nearest_interconnect(link, *regions_, region).km;
             // Among several direct routes into the origin AS, BGP then falls
             // to nearest egress; collocated sites make the egress also the
             // nearest site (§7.1). Approximate by adding the origin-internal
             // distance from that egress to the site.
             const topo::region_id site_region = announcements_[s].origin_region;
             const topo::region_id nearest_to_site =
-                nearest_interconnect_[l * region_count_ + site_region];
+                nearest_interconnect(link, *regions_, site_region).region;
             const double egress_to_site = regions_->distance_km(nearest_to_site, site_region);
             first_km += 0.25 * egress_to_site;  // IGP cost beyond the edge is discounted
         }

@@ -28,9 +28,10 @@
 //   * a per-AS best-route index (best class, best length, CSR candidate
 //     lists, direct-route flag) is precomputed once after propagation, so
 //     `best_candidates` and `has_direct_route` never rescan site tables;
-//   * all geographic terms come from precomputed tables — the region-pair
-//     distance matrix (`topo::region_table::distance_km`) and a per-link
-//     nearest-interconnect table — no haversine trig at query time;
+//   * all geographic terms come from the region-pair distance matrix
+//     (`topo::region_table::distance_km`): early exit scans the link's own
+//     few interconnect regions, one matrix read per candidate, with no
+//     per-RIB table and no haversine trig at query time;
 //   * `select` results are memoized in a sharded, lazily-filled cache.
 //     Selection is a pure function of (asn, region), so cached and uncached
 //     results are bit-identical, and concurrent fills are race-safe: any
@@ -206,7 +207,7 @@ public:
 
     /// Pre-fast-path reference implementation: rescans every site's route
     /// row per call and evaluates hot-potato geometry with on-the-fly
-    /// haversine instead of the precomputed tables. Kept so tests can assert
+    /// haversine instead of distance-matrix reads. Kept so tests can assert
     /// the fast path is bit-identical and benchmarks can measure the win.
     [[nodiscard]] std::optional<path_result> select_reference(topo::asn_t asn,
                                                               topo::region_id region) const;
@@ -376,12 +377,6 @@ private:
     // one vector-empty test. candidate_span prefers the overlay when set.
     std::vector<std::uint8_t> overlaid_;         // per dense AS index
     std::vector<std::vector<site_id>> overlay_;  // valid where overlaid_[i]
-
-    // Per-link nearest-interconnect table: entry (link, region) is the id of
-    // the link's interconnect region nearest that source region, resolving
-    // early-exit geometry to one lookup + one distance-matrix read.
-    std::vector<topo::region_id> nearest_interconnect_;  // link-major, stride = region count
-    std::size_t region_count_ = 0;
 
     // Sharded select memoization, keyed by (asn << 32) | region. Mutable:
     // the cache is an observably-pure accelerator of const queries. The

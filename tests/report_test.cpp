@@ -12,6 +12,7 @@
 #include "src/core/report.h"
 #include "src/core/world.h"
 #include "src/obs/trace.h"
+#include "tests/temp_dir.h"
 
 namespace {
 
@@ -25,9 +26,10 @@ protected:
     }
 
     static std::filesystem::path temp_dir() {
-        // Unique per test: the suite runs in parallel processes.
+        // Unique per test and per process: the suite runs in parallel
+        // processes, and so may two runs of it on one host.
         const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-        const auto dir = std::filesystem::temp_directory_path() /
+        const auto dir = test_support::process_temp_dir() /
                          (std::string{"ac_report_"} + info->name());
         std::filesystem::remove_all(dir);
         return dir;

@@ -7,12 +7,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "src/netbase/rng.h"
 #include "src/routing/bgp.h"
+#include "src/topology/generator.h"
 
 namespace {
 
@@ -685,6 +687,129 @@ TEST_F(HotPotato, EvaluateReportsDirectDistance) {
     // Direct distance to the far site (region 3) is ~2 region-steps.
     EXPECT_NEAR(path->direct_km,
                 geo::distance_km(regions_.at(1).location, regions_.at(3).location), 1.0);
+}
+
+// Independent oracle for the early-exit path walk. `select_reference` only
+// checks which candidate wins; this re-walks each route hop by hop through
+// public accessors alone (route_toward, the graph's links, the region
+// distance matrix) and must reproduce evaluate() exactly.
+
+struct walked_path {
+    std::vector<topo::asn_t> as_path;
+    double path_km = 0.0;
+    double direct_km = 0.0;
+    std::size_t multi_point_hops = 0;  // hops over links with >1 interconnect
+};
+
+std::optional<walked_path> rewalk(const route::anycast_rib& rib, const topo::as_graph& graph,
+                                  const topo::region_table& regions, topo::asn_t asn,
+                                  topo::region_id region, route::site_id site) {
+    auto hop = rib.route_toward(asn, site);
+    if (!hop) return std::nullopt;
+    const topo::region_id site_region = rib.announcements()[site].origin_region;
+    walked_path out;
+    out.direct_km = regions.distance_km(region, site_region);
+    topo::asn_t cur = asn;
+    topo::region_id here = region;
+    while (hop.value().cls != route::route_class::origin) {
+        out.as_path.push_back(cur);
+        // Cross at the listed interconnect nearest `here`; on a tie the
+        // earlier-listed one stays.
+        const auto& points = graph.link(hop->link_index).interconnect_regions;
+        topo::region_id exit = points.front();
+        for (const topo::region_id p : points) {
+            if (regions.distance_km(here, p) < regions.distance_km(here, exit)) exit = p;
+        }
+        if (points.size() > 1) ++out.multi_point_hops;
+        out.path_km += regions.distance_km(here, exit);
+        here = exit;
+        cur = hop->next_hop;
+        hop = rib.route_toward(cur, site);
+    }
+    out.as_path.push_back(cur);
+    out.path_km += regions.distance_km(here, site_region);
+    return out;
+}
+
+TEST(PathWalkOracle, EvaluateMatchesHopByHopRewalkOnGeneratedGraph) {
+    const auto regions = topo::make_regions(topo::region_plan{20, 6, 20, 8, 15, 5, 1}, 13);
+    topo::graph_plan plan;
+    plan.tier1_count = 4;
+    plan.transits_per_continent = 4;
+    plan.eyeball_count = 80;
+    plan.enterprise_count = 10;
+    plan.public_dns_count = 1;
+    const auto graph = topo::make_graph(regions, plan, 13);
+
+    // Sites at both ends of a tier-1's footprint, at a transit and at an
+    // eyeball, so walks climb, cross and descend the hierarchy.
+    const auto first_of = [&](topo::as_role role) -> const topo::autonomous_system& {
+        return *std::find_if(graph.all().begin(), graph.all().end(),
+                             [&](const auto& as) { return as.role == role; });
+    };
+    const auto& tier1 = first_of(topo::as_role::tier1);
+    const auto& transit = first_of(topo::as_role::transit);
+    const auto& eyeball = first_of(topo::as_role::eyeball);
+    const route::anycast_rib rib{
+        graph,
+        regions,
+        {{0, tier1.asn, tier1.presence.front(), route::announcement_scope::global, {}},
+         {1, tier1.asn, tier1.presence.back(), route::announcement_scope::global, {}},
+         {2, transit.asn, transit.presence.front(), route::announcement_scope::global, {}},
+         {3, eyeball.asn, eyeball.presence.front(), route::announcement_scope::global, {}}}};
+
+    std::size_t walks = 0;
+    std::size_t multi_point_hops = 0;
+    for (const topo::asn_t asn : rib.known_asns()) {
+        for (topo::region_id region = 0; region < regions.size(); ++region) {
+            for (route::site_id site = 0; site < rib.site_count(); ++site) {
+                const auto want = rewalk(rib, graph, regions, asn, region, site);
+                const auto got = rib.evaluate(asn, region, site);
+                ASSERT_EQ(got.has_value(), want.has_value())
+                    << "asn " << asn << " region " << region << " site " << site;
+                if (!want) continue;
+                ASSERT_EQ(got->as_path, want->as_path)
+                    << "asn " << asn << " region " << region << " site " << site;
+                ASSERT_EQ(got->path_km, want->path_km)
+                    << "asn " << asn << " region " << region << " site " << site;
+                ASSERT_EQ(got->direct_km, want->direct_km)
+                    << "asn " << asn << " region " << region << " site " << site;
+                ++walks;
+                multi_point_hops += want->multi_point_hops;
+            }
+        }
+    }
+    // The comparison means something only if early exit had real choices.
+    EXPECT_GT(walks, 10000u);
+    EXPECT_GT(multi_point_hops, walks);
+}
+
+TEST(PathWalkOracle, EquidistantInterconnectsResolveToFirstListed) {
+    const auto regions = make_line_regions();
+    // r0 and r2 sit 14 degrees of longitude either side of r1 on one
+    // parallel, so both interconnects are exactly as far from a source in r1.
+    ASSERT_EQ(regions.distance_km(1, 0), regions.distance_km(1, 2));
+    for (const auto& points : {std::vector<topo::region_id>{2, 0}, {0, 2}}) {
+        topo::as_graph graph;
+        graph.add_as(make_as(1, topo::as_role::content, {0}));
+        graph.add_as(make_as(2, topo::as_role::eyeball, {1}));
+        graph.add_link(2, 1, topo::as_relationship::peer, points, 1.2);
+        const route::anycast_rib rib{
+            graph, regions, {{0, 1, 0, route::announcement_scope::global, {}}}};
+
+        // Crossing at r2 costs a return leg to the site in r0; crossing at
+        // r0 does not, so path_km tells which interconnect was taken.
+        const topo::region_id first = points.front();
+        const auto path = rib.evaluate(2, 1, 0);
+        ASSERT_TRUE(path.has_value());
+        EXPECT_EQ(path->path_km,
+                  regions.distance_km(1, first) + regions.distance_km(first, 0))
+            << "first listed interconnect r" << first;
+        const auto want = rewalk(rib, graph, regions, 2, 1, 0);
+        ASSERT_TRUE(want.has_value());
+        EXPECT_EQ(path->path_km, want->path_km);
+        EXPECT_EQ(path->as_path, want->as_path);
+    }
 }
 
 } // namespace

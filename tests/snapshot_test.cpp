@@ -14,6 +14,7 @@
 #include "src/core/report.h"
 #include "src/snapshot/world_io.h"
 #include "src/snapshot/xxhash64.h"
+#include "tests/temp_dir.h"
 
 namespace {
 
@@ -34,13 +35,13 @@ protected:
 
     static std::filesystem::path temp_file(const std::string& suffix = "") {
         const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-        return std::filesystem::temp_directory_path() /
+        return test_support::process_temp_dir() /
                (std::string{"ac_snapshot_"} + info->name() + suffix + ".acx");
     }
 
     static std::filesystem::path temp_dir(const std::string& suffix = "") {
         const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-        const auto dir = std::filesystem::temp_directory_path() /
+        const auto dir = test_support::process_temp_dir() /
                          (std::string{"ac_snapshot_"} + info->name() + suffix);
         std::filesystem::remove_all(dir);
         return dir;

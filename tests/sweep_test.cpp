@@ -16,6 +16,7 @@
 #include "src/core/world.h"
 #include "src/sweep/driver.h"
 #include "src/sweep/spec.h"
+#include "tests/temp_dir.h"
 
 namespace {
 
@@ -244,7 +245,7 @@ protected:
     }
 
     void SetUp() override {
-        root_ = fs::temp_directory_path() / "ac_sweep_test";
+        root_ = test_support::process_temp_dir() / "sweep";
         fs::remove_all(root_);
         fs::create_directories(root_);
     }
