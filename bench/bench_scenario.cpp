@@ -7,6 +7,11 @@
 //
 //   * incremental.withdraw_ms — anycast_rib::withdraw of one PoP
 //   * incremental.announce_ms — re-announcing the same PoP
+//   * incremental.withdraw_all_ms / incremental.announce_all_ms — a whole-RIB
+//     cycle: withdrawing every PoP one by one, then re-announcing them all
+//     (a letter-wide `withdraw`/`announce` event); each per-site event
+//     repairs the index per touched AS, so the cycle grows with sites ×
+//     touched ASes, not sites² × touched ASes
 //   * full.rebuild_ms         — constructing a fresh RIB with that PoP's
 //     announcement flagged withdrawn (what degraded_deployment does)
 //   * withdraw_speedup_vs_rebuild — the gated ratio; acceptance bar >= 10x
@@ -44,7 +49,8 @@ int main(int argc, char** argv) {
     engine::thread_pool pool{args.threads};
 
     bench::report report{"scenario", "small", args.repeat};
-    report.set_note("incremental = anycast_rib withdraw/announce of one CDN PoP; full = "
+    report.set_note("incremental = anycast_rib withdraw/announce of one CDN PoP, and "
+                    "withdraw/announce of every PoP in turn (*_all); full = "
                     "fresh RIB construction with that PoP withdrawn; speedup is the "
                     "DESIGN §11 acceptance bar (>= 10x); scenario.run_ms replays a "
                     "drain/restore timeline against a root letter");
@@ -53,6 +59,10 @@ int main(int argc, char** argv) {
         report.add_metric("incremental.withdraw_ms", "ms", direction::lower_is_better, 2.0);
     auto& announce_ms =
         report.add_metric("incremental.announce_ms", "ms", direction::lower_is_better, 2.0);
+    auto& withdraw_all_ms =
+        report.add_metric("incremental.withdraw_all_ms", "ms", direction::lower_is_better, 2.0);
+    auto& announce_all_ms =
+        report.add_metric("incremental.announce_all_ms", "ms", direction::lower_is_better, 2.0);
     auto& rebuild_ms =
         report.add_metric("full.rebuild_ms", "ms", direction::lower_is_better, 2.0);
     auto& scenario_ms =
@@ -74,6 +84,19 @@ int main(int argc, char** argv) {
         start = clock_type::now();
         (void)rib.announce(rib.announcements()[victim]);
         announce_ms.add(bench::ms_since(start));
+    }
+
+    // Whole-RIB cycle: every PoP withdrawn, then every PoP re-announced.
+    for (int i = 0; i < args.repeat; ++i) {
+        auto start = clock_type::now();
+        for (route::site_id s = 0; s < rib.site_count(); ++s) (void)rib.withdraw(s);
+        withdraw_all_ms.add(bench::ms_since(start));
+
+        start = clock_type::now();
+        for (route::site_id s = 0; s < rib.site_count(); ++s) {
+            (void)rib.announce(rib.announcements()[s]);
+        }
+        announce_all_ms.add(bench::ms_since(start));
     }
 
     auto degraded = announcements;

@@ -57,8 +57,8 @@ obs::counter& freeze_counter() {
 }
 
 /// Incremental re-convergence work counters (DESIGN §11): how many events
-/// ran, how many per-AS index slots they recomputed, and how many cache
-/// shards they had to visit.
+/// ran, how many per-AS index slots they repaired, how many of those fell
+/// back to a full column rescan, and how many cache shards they had to visit.
 obs::counter& reconverge_event_counter() {
     static obs::counter& c = obs::registry::global().get_counter("route.reconverge.events");
     return c;
@@ -66,6 +66,10 @@ obs::counter& reconverge_event_counter() {
 obs::counter& reconverge_ases_counter() {
     static obs::counter& c =
         obs::registry::global().get_counter("route.reconverge.ases_touched");
+    return c;
+}
+obs::counter& reconverge_rescans_counter() {
+    static obs::counter& c = obs::registry::global().get_counter("route.reconverge.rescans");
     return c;
 }
 obs::counter& reconverge_shards_counter() {
@@ -778,10 +782,26 @@ anycast_rib::reconverge_stats anycast_rib::announce(announcement a) {
     }
     propagate(announcements_[a.site]);
 
-    // Everything the new row reached joins the touched frontier.
+    // Everything the new row reached joins the touched frontier, and each
+    // such AS's index entry absorbs the added route: a better one becomes
+    // the sole best, an equal one joins the sorted candidates, a worse one
+    // changes nothing but possibly the direct flag.
     const std::size_t base = cell(a.site, 0);
     for (std::size_t i = 0; i < as_count_; ++i) {
-        if (static_cast<route_class>(cls_[base + i]) != route_class::none) touched[i] = 1;
+        const auto c = static_cast<route_class>(cls_[base + i]);
+        if (c == route_class::none) continue;
+        touched[i] = 1;
+        const std::uint8_t l = len_[base + i];
+        if (l <= 2) direct_[i] = 1;
+        const auto best = static_cast<route_class>(best_cls_[i]);
+        if (better(c, l, best, best_len_[i])) {
+            best_cls_[i] = static_cast<std::uint8_t>(c);
+            best_len_[i] = l;
+            overlay_list(i).assign(1, a.site);
+        } else if (c == best && l == best_len_[i]) {
+            auto& list = overlay_list(i);
+            list.insert(std::upper_bound(list.begin(), list.end(), a.site), a.site);
+        }
     }
     reconverge_touched(touched, stats);
     event_span.set_items(stats.ases_touched);
@@ -806,18 +826,49 @@ std::size_t anycast_rib::active_site_count() const {
 void anycast_rib::clear_row(site_id site, std::vector<std::uint8_t>& touched) {
     const std::size_t base = cell(site, 0);
     for (std::size_t i = 0; i < as_count_; ++i) {
-        if (static_cast<route_class>(cls_[base + i]) == route_class::none) continue;
+        const auto c = static_cast<route_class>(cls_[base + i]);
+        if (c == route_class::none) continue;
+        const std::uint8_t l = len_[base + i];
         touched[i] = 1;
         cls_[base + i] = static_cast<std::uint8_t>(route_class::none);
         len_[base + i] = 0;
         next_idx_[base + i] = no_next_hop;
         link_[base + i] = 0;
+
+        // Index repair for the removed route: a best route leaves the
+        // candidate list, a worse one changes nothing. The column is
+        // rescanned only if that emptied the list (the best worsens), or if
+        // the route had at most 2 ASes and no remaining best one does (the
+        // direct flag may clear).
+        bool rescan = l <= 2 && best_len_[i] > 2;
+        if (c == static_cast<route_class>(best_cls_[i]) && l == best_len_[i]) {
+            auto& list = overlay_list(i);
+            list.erase(std::lower_bound(list.begin(), list.end(), site));
+            rescan = list.empty();
+        }
+        if (rescan) recompute_as_index(i);
     }
+}
+
+std::vector<site_id>& anycast_rib::overlay_list(std::size_t as) {
+    if (overlaid_.empty()) {
+        // First mutation on this RIB: activate the overlay layer. The CSR
+        // arrays stay frozen as the pristine-AS fallback.
+        overlaid_.assign(as_count_, 0);
+        overlay_.resize(as_count_);
+    }
+    if (!overlaid_[as]) {
+        const auto csr = candidate_span(as);
+        overlay_[as].assign(csr.begin(), csr.end());
+        overlaid_[as] = 1;
+    }
+    return overlay_[as];
 }
 
 void anycast_rib::recompute_as_index(std::size_t as) {
     // Same scan order and comparisons as build_fast_path passes A and B, so
     // the recomputed candidate list is byte-identical to a full rebuild's.
+    reconverge_rescans_counter().add(1);
     const std::size_t sites = announcements_.size();
     route_class best = route_class::none;
     std::uint8_t best_len = std::numeric_limits<std::uint8_t>::max();
@@ -836,13 +887,13 @@ void anycast_rib::recompute_as_index(std::size_t as) {
     best_len_[as] = best_len;
     direct_[as] = direct;
 
-    overlay_[as].clear();
-    overlaid_[as] = 1;
+    auto& list = overlay_list(as);
+    list.clear();
     if (best == route_class::none) return;
     for (std::size_t s = 0; s < sites; ++s) {
         const std::size_t c = cell(static_cast<site_id>(s), as);
         if (static_cast<route_class>(cls_[c]) == best && len_[c] == best_len) {
-            overlay_[as].push_back(static_cast<site_id>(s));
+            list.push_back(static_cast<site_id>(s));
         }
     }
 }
@@ -883,17 +934,7 @@ std::pair<std::size_t, std::size_t> anycast_rib::invalidate_cache(
 void anycast_rib::reconverge_touched(const std::vector<std::uint8_t>& touched,
                                      reconverge_stats& out) {
     obs::span reconverge_span{"bgp/reconverge"};
-    if (overlaid_.empty()) {
-        // First mutation on this RIB: activate the overlay layer. The CSR
-        // arrays stay frozen as the pristine-AS fallback.
-        overlaid_.assign(as_count_, 0);
-        overlay_.resize(as_count_);
-    }
-    for (std::size_t i = 0; i < as_count_; ++i) {
-        if (!touched[i]) continue;
-        recompute_as_index(i);
-        ++out.ases_touched;
-    }
+    for (const std::uint8_t t : touched) out.ases_touched += t;
     const auto [erased, visited] = invalidate_cache(touched);
     out.cache_entries_invalidated = erased;
     out.cache_shards_visited = visited;

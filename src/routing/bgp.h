@@ -41,10 +41,24 @@
 // The RIB is *mutable* (DESIGN §11): per-source `announce`/`withdraw` entry
 // points re-converge incrementally. Because every site owns a disjoint route
 // row, an event only rewrites that one row; the per-AS best-route index is
-// then fixed up for exactly the ASes whose row entry changed (the event's
+// then repaired for exactly the ASes whose row entry changed (the event's
 // frontier), and only the select-cache shards holding those ASes are
-// invalidated. Nothing else — other rows, the geo tables, untouched index
-// slots, untouched cache shards — is rebuilt. A `shared_mutex` makes
+// invalidated. The repair is done while the row is walked, with O(1)
+// comparisons per touched AS (plus a sorted insert or erase in its candidate
+// list), so an event costs O(touched) rather than O(touched × sites):
+//
+//   * a removed route that was best leaves the sorted candidate list; a
+//     removed worse route changes nothing;
+//   * an added route sets the direct flag if its path has at most 2 ASes,
+//     becomes the sole best if better, joins the list in site order if
+//     equal, and changes nothing else if worse;
+//   * only when a removal empties the list (the best worsens), or drops a
+//     route of at most 2 ASes while no best route is that short (the
+//     direct flag may clear), is the AS's column rescanned, exactly as the
+//     bulk build scans it.
+//
+// Nothing else — other rows, the geo tables, untouched index slots,
+// untouched cache shards — is rebuilt. A `shared_mutex` makes
 // mutation safe against concurrent selects: readers see either the pre- or
 // the post-event state, never a torn one, and the post-event state is
 // byte-identical to a from-scratch rebuild with the same announcement set.
@@ -145,13 +159,13 @@ public:
 
     /// Work done by one incremental re-convergence (announce or withdraw).
     struct reconverge_stats {
-        std::size_t ases_touched = 0;              // index slots recomputed
+        std::size_t ases_touched = 0;              // index slots repaired
         std::size_t cache_entries_invalidated = 0; // memoized selects dropped
         std::size_t cache_shards_visited = 0;      // shards that held them
     };
 
     /// Withdraws `site`'s announcement and re-converges incrementally:
-    /// clears the site's route row, recomputes the best-route index for
+    /// clears the site's route row, repairs the best-route index for
     /// exactly the ASes that held a route to it, and invalidates only the
     /// select-cache shards containing those ASes. Every other site's routes
     /// are untouched (per-site rows are independent). No-op on an already
@@ -164,9 +178,9 @@ public:
     /// be an existing site id (re-announce: scope/prepend/suppression/origin
     /// may all change) or exactly `site_count()` (a brand-new site, whose
     /// row is appended). The changed row is re-propagated from scratch and
-    /// the index/cache fixed up for the union of ASes that held the old
-    /// route or hold the new one. Throws std::invalid_argument on an
-    /// unknown origin ASN or a non-dense site id.
+    /// the index repaired and the cache invalidated for the union of ASes
+    /// that held the old route or hold the new one. Throws
+    /// std::invalid_argument on an unknown origin ASN or a non-dense site id.
     reconverge_stats announce(announcement a);
 
     /// True if `site` is currently withdrawn (no routes).
@@ -312,19 +326,27 @@ public:
 private:
     void propagate(const announcement& a);
     void build_fast_path(engine::thread_pool* pool);
-    /// Recomputes one AS's best (class, len), direct flag, and candidate
-    /// list after a row changed, writing candidates into the overlay. Same
-    /// scan order and comparisons as the bulk build, so the result is
-    /// byte-identical to a from-scratch index.
+    /// Fallback of the index repair, for a removal that empties an AS's
+    /// candidate list or may clear its direct flag: rescans the AS's whole
+    /// column for its best (class, len), direct flag, and candidate list,
+    /// writing candidates into the overlay. Same scan order and comparisons
+    /// as the bulk build, so the result is byte-identical to a from-scratch
+    /// index. Counted by `route.reconverge.rescans`.
     void recompute_as_index(std::size_t as);
     /// Clears `site`'s route row, marking every AS that held a route in
-    /// `touched` (bitmap by dense index).
+    /// `touched` (bitmap by dense index) and repairing its index entry for
+    /// the removed route.
     void clear_row(site_id site, std::vector<std::uint8_t>& touched);
+    /// The AS's mutable candidate list: on first touch it is copied out of
+    /// the CSR into the overlay (activating the overlay layer on the RIB's
+    /// first mutation).
+    std::vector<site_id>& overlay_list(std::size_t as);
     /// Drops memoized selects for the touched ASes, visiting only the cache
     /// shards that can hold them. Returns (entries erased, shards visited).
     std::pair<std::size_t, std::size_t> invalidate_cache(
         const std::vector<std::uint8_t>& touched);
-    /// Index fix-up + cache invalidation for a touched set; fills `out`.
+    /// Counts the touched set (whose index entries are already repaired)
+    /// and invalidates its cache entries; fills `out`.
     void reconverge_touched(const std::vector<std::uint8_t>& touched, reconverge_stats& out);
     [[nodiscard]] std::size_t as_index(topo::asn_t asn) const;
     [[nodiscard]] std::size_t cell(site_id site, std::size_t as) const noexcept {
@@ -364,17 +386,18 @@ private:
     std::vector<std::uint32_t> next_idx_;  // dense index of next hop (no_next_hop at origin)
     std::vector<std::uint32_t> link_;      // link to next hop
 
-    // Per-AS best-route index, precomputed once after propagation.
+    // Per-AS best-route index, precomputed once after propagation and
+    // repaired in place by announce/withdraw.
     std::vector<std::uint8_t> best_cls_;
     std::vector<std::uint8_t> best_len_;
     std::vector<std::uint32_t> cand_begin_;  // CSR offsets into cand_sites_, size as_count_+1
     std::vector<site_id> cand_sites_;        // candidate sites, ascending per AS
     std::vector<std::uint8_t> direct_;       // has_direct_route flags
 
-    // Mutation overlay: a touched AS's candidate list moves out of the CSR
-    // (whose offsets cannot shrink or grow in place) into its own vector.
-    // Empty until the first announce/withdraw, so the static fast path pays
-    // one vector-empty test. candidate_span prefers the overlay when set.
+    // Mutation overlay: an AS's candidate list moves out of the CSR (whose
+    // offsets cannot shrink or grow in place) into its own vector the first
+    // time an event changes it. Empty until then, so the static fast path
+    // pays one vector-empty test. candidate_span prefers the overlay when set.
     std::vector<std::uint8_t> overlaid_;         // per dense AS index
     std::vector<std::vector<site_id>> overlay_;  // valid where overlaid_[i]
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/netbase/rng.h"
+#include "src/obs/metrics.h"
 #include "src/routing/bgp.h"
 #include "src/topology/generator.h"
 
@@ -731,25 +732,40 @@ std::optional<walked_path> rewalk(const route::anycast_rib& rib, const topo::as_
     return out;
 }
 
-TEST(PathWalkOracle, EvaluateMatchesHopByHopRewalkOnGeneratedGraph) {
-    const auto regions = topo::make_regions(topo::region_plan{20, 6, 20, 8, 15, 5, 1}, 13);
+// A small generated world: 75 regions, 120 ASes across every role, with
+// links that list several interconnects.
+topo::region_table make_generated_regions() {
+    return topo::make_regions(topo::region_plan{20, 6, 20, 8, 15, 5, 1}, 13);
+}
+
+topo::as_graph make_generated_graph(const topo::region_table& regions) {
     topo::graph_plan plan;
     plan.tier1_count = 4;
     plan.transits_per_continent = 4;
     plan.eyeball_count = 80;
     plan.enterprise_count = 10;
     plan.public_dns_count = 1;
-    const auto graph = topo::make_graph(regions, plan, 13);
+    return topo::make_graph(regions, plan, 13);
+}
+
+/// The `rank`-th AS of `role` in graph order.
+const topo::autonomous_system& nth_of(const topo::as_graph& graph, topo::as_role role,
+                                      std::size_t rank = 0) {
+    for (const auto& as : graph.all()) {
+        if (as.role == role && rank-- == 0) return as;
+    }
+    throw std::out_of_range("no such AS");
+}
+
+TEST(PathWalkOracle, EvaluateMatchesHopByHopRewalkOnGeneratedGraph) {
+    const auto regions = make_generated_regions();
+    const auto graph = make_generated_graph(regions);
 
     // Sites at both ends of a tier-1's footprint, at a transit and at an
     // eyeball, so walks climb, cross and descend the hierarchy.
-    const auto first_of = [&](topo::as_role role) -> const topo::autonomous_system& {
-        return *std::find_if(graph.all().begin(), graph.all().end(),
-                             [&](const auto& as) { return as.role == role; });
-    };
-    const auto& tier1 = first_of(topo::as_role::tier1);
-    const auto& transit = first_of(topo::as_role::transit);
-    const auto& eyeball = first_of(topo::as_role::eyeball);
+    const auto& tier1 = nth_of(graph, topo::as_role::tier1);
+    const auto& transit = nth_of(graph, topo::as_role::transit);
+    const auto& eyeball = nth_of(graph, topo::as_role::eyeball);
     const route::anycast_rib rib{
         graph,
         regions,
@@ -810,6 +826,127 @@ TEST(PathWalkOracle, EquidistantInterconnectsResolveToFirstListed) {
         EXPECT_EQ(path->path_km, want->path_km);
         EXPECT_EQ(path->as_path, want->as_path);
     }
+}
+
+// Differential test of the incremental best-route index repair with many
+// sites: after every event the mutated RIB must answer best_candidates,
+// has_direct_route and select_uncached exactly like a RIB rebuilt from its
+// announcements, and report as touched exactly the ASes in the union of the
+// site's old and new route rows.
+
+/// Per dense AS index: 1 if the AS holds a route in `site`'s row.
+std::vector<std::uint8_t> row_members(const route::anycast_rib& rib, route::site_id site) {
+    const auto view = rib.site_routes(site);
+    std::vector<std::uint8_t> held(view.cls.size());
+    for (std::size_t i = 0; i < held.size(); ++i) {
+        held[i] = static_cast<route::route_class>(view.cls[i]) != route::route_class::none;
+    }
+    return held;
+}
+
+TEST(IncrementalIndex, ManySiteTimelineMatchesRebuild) {
+    const auto regions = make_generated_regions();
+    const auto graph = make_generated_graph(regions);
+
+    // 31 sites: several per origin AS, so equal-best ties between sites of
+    // one origin are common; every fourth site is local scope.
+    std::vector<route::announcement> anns;
+    const auto add_sites = [&](const topo::autonomous_system& as, std::size_t count) {
+        for (std::size_t k = 0; k < count; ++k) {
+            const auto site = static_cast<route::site_id>(anns.size());
+            anns.push_back({site, as.asn, as.presence[k % as.presence.size()],
+                            site % 4 == 3 ? route::announcement_scope::local
+                                          : route::announcement_scope::global,
+                            {}});
+        }
+    };
+    for (std::size_t r = 0; r < 2; ++r) add_sites(nth_of(graph, topo::as_role::tier1, r), 5);
+    for (std::size_t r = 0; r < 3; ++r) add_sites(nth_of(graph, topo::as_role::transit, r), 3);
+    for (std::size_t r = 0; r < 6; ++r) add_sites(nth_of(graph, topo::as_role::eyeball, r), 2);
+    ASSERT_EQ(anns.size(), 31u);
+    route::anycast_rib rib{graph, regions, anns};
+
+    auto& rescans = obs::registry::global().get_counter("route.reconverge.rescans");
+    const std::uint64_t rescans_before = rescans.value();
+    std::size_t events = 0;
+    std::size_t ties = 0;
+    std::size_t touched = 0;
+    const auto apply = [&](const char* what, route::site_id site, auto&& event) {
+        const auto before = row_members(rib, site);
+        const route::anycast_rib::reconverge_stats stats = event();
+        const auto after = row_members(rib, site);
+        std::size_t want_touched = 0;
+        for (std::size_t i = 0; i < before.size(); ++i) want_touched += before[i] | after[i];
+        ASSERT_EQ(stats.ases_touched, want_touched)
+            << "event " << events << ": " << what << " site " << site;
+        touched += stats.ases_touched;
+
+        const route::anycast_rib fresh{
+            graph, regions,
+            std::vector<route::announcement>(rib.announcements().begin(),
+                                             rib.announcements().end())};
+        for (const topo::asn_t asn : rib.known_asns()) {
+            const auto got = rib.best_candidates(asn);
+            ASSERT_EQ(got, fresh.best_candidates(asn))
+                << "event " << events << ": " << what << " site " << site << " asn " << asn;
+            ties += got.size() > 1;
+            ASSERT_EQ(rib.has_direct_route(asn), fresh.has_direct_route(asn))
+                << "event " << events << ": " << what << " site " << site << " asn " << asn;
+            for (topo::region_id region = 0; region < regions.size(); ++region) {
+                ASSERT_EQ(rib.select_uncached(asn, region), fresh.select_uncached(asn, region))
+                    << "event " << events << ": " << what << " site " << site << " asn "
+                    << asn << " region " << region;
+            }
+        }
+        ++events;
+    };
+
+    rand::rng gen{0x1dc0ffeeULL};
+    for (int round = 0; round < 40; ++round) {
+        const auto site = static_cast<route::site_id>(gen.uniform_index(rib.site_count()));
+        auto a = rib.announcements()[site];
+        switch (gen.uniform_index(4)) {
+            case 0:
+                apply("withdraw", site, [&] { return rib.withdraw(site); });
+                break;
+            case 1:
+                apply("announce", site, [&] { return rib.announce(a); });
+                break;
+            case 2:
+                a.prepend = static_cast<std::uint8_t>(gen.uniform_index(4));
+                apply("prepend", site, [&] { return rib.announce(a); });
+                break;
+            default:
+                a.scope = a.scope == route::announcement_scope::global
+                              ? route::announcement_scope::local
+                              : route::announcement_scope::global;
+                apply(a.scope == route::announcement_scope::global ? "promote" : "demote",
+                      site, [&] { return rib.announce(a); });
+                break;
+        }
+        if (HasFatalFailure()) return;
+    }
+
+    // Withdraw everything, then re-announce in reverse site order, so equal
+    // candidates arrive out of site order and the last withdrawal of each
+    // AS empties its candidate list.
+    for (route::site_id site = 0; site < rib.site_count(); ++site) {
+        apply("withdraw-all", site, [&] { return rib.withdraw(site); });
+        if (HasFatalFailure()) return;
+    }
+    for (auto site = static_cast<route::site_id>(rib.site_count()); site-- > 0;) {
+        const auto a = rib.announcements()[site];
+        apply("announce-all", site, [&] { return rib.announce(a); });
+        if (HasFatalFailure()) return;
+    }
+    EXPECT_EQ(events, 40u + 2 * 31u);
+    // The comparison means something only if candidate lists held ties.
+    EXPECT_GT(ties, events * 10);
+    // Every repair that fell back to a column rescan was counted, and the
+    // fallback stayed the exception.
+    const std::uint64_t rescanned = rescans.value() - rescans_before;
+    EXPECT_GT(rescanned, 0u);
+    EXPECT_LT(rescanned * 4, touched);
 }
 
 } // namespace

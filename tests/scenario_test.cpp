@@ -9,6 +9,7 @@
 #include "src/anycast/deployment.h"
 #include "src/scenario/driver.h"
 #include "src/scenario/event.h"
+#include "src/topology/generator.h"
 
 namespace {
 
@@ -287,6 +288,60 @@ TEST_F(ScenarioDriver, PrependEventReroutesTraffic) {
     EXPECT_EQ(after.active_sites, 2u);  // still announced, just unattractive
     EXPECT_DOUBLE_EQ(after.max_site_share, 1.0);
     EXPECT_DOUBLE_EQ(after.shifted_share, 0.5);
+}
+
+TEST(ScenarioAccounting, LetterWideWithdrawAnnounceWorkColumnsArePinned) {
+    // The ases_touched and cache_invalidated CSV columns are part of the
+    // byte contract of `acctx scenario`: pin them for a whole-prefix
+    // withdraw and re-announce of a 12-site deployment on a generated
+    // graph, where sites share origin ASes, best routes tie and every
+    // fourth site is local scope.
+    const auto regions = topo::make_regions(topo::region_plan{20, 6, 20, 8, 15, 5, 1}, 13);
+    topo::graph_plan plan;
+    plan.tier1_count = 4;
+    plan.transits_per_continent = 4;
+    plan.eyeball_count = 80;
+    plan.enterprise_count = 10;
+    plan.public_dns_count = 1;
+    const auto graph = topo::make_graph(regions, plan, 13);
+
+    std::vector<anycast::site> sites;
+    std::vector<scenario::weighted_source> sources;
+    std::size_t tier1s = 0;
+    std::size_t transits = 0;
+    for (const auto& as : graph.all()) {
+        const bool tier1 = as.role == topo::as_role::tier1 && tier1s++ < 2;
+        const bool transit = as.role == topo::as_role::transit && transits++ < 3;
+        for (std::size_t k = 0; k < (tier1 ? 3u : transit ? 2u : 0u); ++k) {
+            const auto id = static_cast<route::site_id>(sites.size());
+            sites.push_back({id, "s" + std::to_string(id), as.asn,
+                             as.presence[k % as.presence.size()],
+                             id % 4 == 3 ? route::announcement_scope::local
+                                         : route::announcement_scope::global});
+        }
+        if (as.role == topo::as_role::eyeball) {
+            for (const topo::region_id r : as.presence) sources.push_back({as.asn, r, 1.0});
+        }
+    }
+    ASSERT_EQ(sites.size(), 12u);
+    anycast::deployment dep{"D", std::move(sites), graph, regions};
+    scenario::driver drv{graph, regions};
+    drv.add_target("D", dep);
+    drv.set_sources(std::move(sources));
+
+    std::ostringstream csv;
+    scenario::write_step_csv(
+        csv, drv.run(scenario::parse_timeline_text("1 withdraw D\n2 announce D\n")));
+    // Keep the last two columns of every data row.
+    std::istringstream rows{csv.str()};
+    std::string line;
+    std::getline(rows, line);  // header
+    std::string work;
+    while (std::getline(rows, line)) {
+        const auto last = line.rfind(',');
+        work += line.substr(line.rfind(',', last - 1) + 1) + ';';
+    }
+    EXPECT_EQ(work, "0,0;1100,190;1100,0;");
 }
 
 } // namespace
