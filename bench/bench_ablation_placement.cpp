@@ -73,6 +73,7 @@ void print_figure(std::ostream& os) {
         }
         const anycast::deployment dep{s.name, std::move(site_list), graph, regions};
 
+        const auto nearest_km = dep.nearest_global_site_km_by_region();
         analysis::weighted_cdf rtt;
         double at_closest = 0.0;
         double total = 0.0;
@@ -81,8 +82,7 @@ void print_figure(std::ostream& os) {
             if (!path) continue;
             rtt.add(path->rtt_ms, loc.users);
             total += loc.users;
-            const double nearest =
-                dep.nearest_global_site_km(regions.at(loc.region).location);
+            const double nearest = nearest_km.at(loc.region);
             if (path->direct_km - nearest < 50.0) at_closest += loc.users;
         }
         os << "  " << s.name;

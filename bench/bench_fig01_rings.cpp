@@ -37,11 +37,12 @@ void print_figure(std::ostream& os) {
     // User concentration: share of users within 500/1000 km of a front-end,
     // per ring.
     for (int ring = 0; ring < cdn.ring_count(); ++ring) {
+        const auto nearest_km = cdn.nearest_front_end_km_by_region(ring);
         double within_500 = 0.0;
         double within_1000 = 0.0;
         double total = 0.0;
         for (const auto& loc : w.users().locations()) {
-            const double d = cdn.nearest_front_end_km(regions.at(loc.region).location, ring);
+            const double d = nearest_km.at(loc.region);
             total += loc.users;
             if (d <= 500.0) within_500 += loc.users;
             if (d <= 1000.0) within_1000 += loc.users;
@@ -54,18 +55,13 @@ void print_figure(std::ostream& os) {
        << w.users().locations().size() << " <region, AS> locations\n";
 }
 
-void BM_NearestFrontEnd(benchmark::State& state) {
-    const auto& w = bench::world_2018();
-    const auto& cdn = w.cdn_net();
-    const auto& locs = w.users().locations();
-    std::size_t i = 0;
+void BM_NearestFrontEndByRegion(benchmark::State& state) {
+    const auto& cdn = bench::world_2018().cdn_net();
     for (auto _ : state) {
-        const auto& loc = locs[i++ % locs.size()];
-        benchmark::DoNotOptimize(
-            cdn.nearest_front_end_km(w.regions().at(loc.region).location, 4));
+        benchmark::DoNotOptimize(cdn.nearest_front_end_km_by_region(cdn.ring_count() - 1));
     }
 }
-BENCHMARK(BM_NearestFrontEnd);
+BENCHMARK(BM_NearestFrontEndByRegion);
 
 } // namespace
 

@@ -27,12 +27,13 @@ void print_figure(std::ostream& os) {
     analysis::weighted_cdf by_continent[7];
     analysis::weighted_cdf near_users;  // <500 km from a front-end
     analysis::weighted_cdf far_users;   // >2000 km
+    const auto nearest_km = cdn.nearest_front_end_km_by_region(r110);
     for (const auto& row : w.server_logs()) {
         if (row.ring != r110) continue;
         const auto& region = w.regions().at(row.region);
         const double relative = row.median_rtt_ms / max_latency;
         by_continent[static_cast<int>(region.cont)].add(relative, row.users);
-        const double d = cdn.nearest_front_end_km(region.location, r110);
+        const double d = nearest_km.at(row.region);
         if (d < 500.0) near_users.add(row.median_rtt_ms, row.users);
         if (d > 2000.0) far_users.add(row.median_rtt_ms, row.users);
     }

@@ -132,6 +132,15 @@ if [[ ${run_tier1} -eq 1 ]]; then
     echo "verify: snapshot + observability round trips OK" \
          "($(ls "${rt}/live" | wc -l) figure files identical; trace and metrics JSON valid)"
 
+    # Determinism contract at the CLI: the thread count never changes a
+    # figure byte.
+    ./build/tools/acctx report --scale small --threads 1 --out "${rt}/t1"
+    ./build/tools/acctx report --scale small --threads 4 --out "${rt}/t4"
+    for f in "${rt}/t1"/*.csv; do
+        cmp "${f}" "${rt}/t4/$(basename "${f}")"
+    done
+    echo "verify: report bytes identical at 1 vs 4 threads ($(ls "${rt}/t1" | wc -l) files)"
+
     # Serving smoke: the offline grid and the served /grid must be the same
     # bytes, point queries must answer, and malformed requests must 400.
     ./build/tools/acctx serve --snapshot "${rt}/world.acx" --grid "${rt}/grid_offline.csv"

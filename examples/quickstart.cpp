@@ -47,12 +47,12 @@ int main() {
     for (const auto* dep : {&open_dep, &cdn_dep}) {
         analysis::weighted_cdf rtt;
         analysis::weighted_cdf inflation_km;
+        const auto nearest_km = dep->nearest_global_site_km_by_region();
         for (const auto& loc : users.locations()) {
             const auto path = dep->rib().select(loc.asn, loc.region);
             if (!path) continue;
             rtt.add(path->rtt_ms, loc.users);
-            const double nearest =
-                dep->nearest_global_site_km(regions.at(loc.region).location);
+            const double nearest = nearest_km.at(loc.region);
             inflation_km.add(path->direct_km - nearest >= 0 ? path->direct_km - nearest : 0,
                              loc.users);
         }

@@ -25,44 +25,45 @@ coverage_curve curve_from_distances(std::string name, int global_sites,
 } // namespace
 
 coverage_curve compute_coverage(const anycast::deployment& dep, const pop::user_base& base,
-                                const topo::region_table& regions,
+                                const topo::region_table& /*regions*/,
                                 std::span<const double> radii_km) {
+    const auto nearest_km = dep.nearest_global_site_km_by_region();
     weighted_cdf distances;
-    for (const auto& loc : base.locations()) {
-        distances.add(dep.nearest_global_site_km(regions.at(loc.region).location), loc.users);
-    }
+    for (const auto& loc : base.locations()) distances.add(nearest_km.at(loc.region), loc.users);
     return curve_from_distances(dep.name(), dep.global_site_count(), distances, radii_km);
 }
 
 coverage_curve compute_ring_coverage(const cdn::cdn_network& cdn, int ring,
                                      const pop::user_base& base,
-                                     const topo::region_table& regions,
+                                     const topo::region_table& /*regions*/,
                                      std::span<const double> radii_km) {
+    const auto nearest_km = cdn.nearest_front_end_km_by_region(ring);
     weighted_cdf distances;
-    for (const auto& loc : base.locations()) {
-        distances.add(cdn.nearest_front_end_km(regions.at(loc.region).location, ring),
-                      loc.users);
-    }
+    for (const auto& loc : base.locations()) distances.add(nearest_km.at(loc.region), loc.users);
     return curve_from_distances(cdn.ring_name(ring), cdn.ring_size(ring), distances, radii_km);
 }
 
 coverage_curve compute_all_roots_coverage(const dns::root_system& roots,
                                           const pop::user_base& base,
-                                          const topo::region_table& regions,
+                                          const topo::region_table& /*regions*/,
                                           std::span<const double> radii_km) {
-    weighted_cdf distances;
+    // Elementwise min over the letters' vectors, in letter order.
+    std::vector<double> nearest_km;
     int total_sites = 0;
     for (char letter : roots.all_letters()) {
-        total_sites += roots.deployment_of(letter).global_site_count();
-    }
-    for (const auto& loc : base.locations()) {
-        const auto p = regions.at(loc.region).location;
-        double best = std::numeric_limits<double>::infinity();
-        for (char letter : roots.all_letters()) {
-            best = std::min(best, roots.deployment_of(letter).nearest_global_site_km(p));
+        const auto& dep = roots.deployment_of(letter);
+        total_sites += dep.global_site_count();
+        auto letter_km = dep.nearest_global_site_km_by_region();
+        if (nearest_km.empty()) {
+            nearest_km = std::move(letter_km);
+            continue;
         }
-        distances.add(best, loc.users);
+        for (std::size_t r = 0; r < nearest_km.size(); ++r) {
+            nearest_km[r] = std::min(nearest_km[r], letter_km[r]);
+        }
     }
+    weighted_cdf distances;
+    for (const auto& loc : base.locations()) distances.add(nearest_km.at(loc.region), loc.users);
     return curve_from_distances("All Roots", total_sites, distances, radii_km);
 }
 
@@ -139,19 +140,26 @@ aspath_study_result run_aspath_study(const atlas::probe_fleet& fleet,
     constexpr std::uint32_t dest_letter0 = 2;
     const auto letters = roots.geographic_analysis_letters();
 
+    // Eq. 1's min_k per region, once per call: the CDN's R110 and each
+    // letter's global sites.
     const auto& regions = cdn.regions();
+    const auto cdn_min_km = cdn.nearest_front_end_km_by_region(cdn.ring_count() - 1);
+    std::vector<std::vector<double>> letter_min_km;
+    letter_min_km.reserve(letters.size());
+    for (char letter : letters) {
+        letter_min_km.push_back(roots.deployment_of(letter).nearest_global_site_km_by_region());
+    }
     table::column<std::uint32_t> dest;
     table::column<int> length_col;
     table::column<double> gi_col;
 
     for (std::size_t g = 0; g < locations.groups(); ++g) {
         const auto& probe = probes[locations.rows(g).front()];
-        const auto loc = regions.at(probe.region).location;
 
         // CDN: external path is ring-independent; inflation uses R110.
         if (const auto path = cdn.evaluate(probe.asn, probe.region, cdn.ring_count() - 1)) {
             const int length = atlas::organization_path_length(path->as_path, graph);
-            const double min_km = cdn.nearest_front_end_km(loc, cdn.ring_count() - 1);
+            const double min_km = cdn_min_km.at(probe.region);
             const double gi = std::max(0.0, geo::round_trip_fiber_ms(path->front_end_km) -
                                                 geo::round_trip_fiber_ms(min_km));
             dest.push_back(dest_cdn);
@@ -167,9 +175,8 @@ aspath_study_result run_aspath_study(const atlas::probe_fleet& fleet,
             if (!path) continue;
             const int length = atlas::organization_path_length(path->as_path, graph);
             const auto& site = dep.site_at(path->site);
-            const double site_km =
-                geo::distance_km(loc, regions.at(site.region).location);
-            const double min_km = dep.nearest_global_site_km(loc);
+            const double site_km = regions.distance_km(probe.region, site.region);
+            const double min_km = letter_min_km[li].at(probe.region);
             const double gi = std::max(0.0, geo::round_trip_fiber_ms(site_km) -
                                                 geo::round_trip_fiber_ms(min_km));
             dest.push_back(dest_letter0 + static_cast<std::uint32_t>(li));

@@ -25,6 +25,10 @@ struct coverage_curve {
     std::vector<double> covered_fraction;  // aligned with radii_km
 };
 
+// The coverage functions read distances from the deployment's (or CDN's)
+// own region table, one nearest-site vector per call; `regions` is unused
+// and stays only so existing callers keep compiling.
+
 [[nodiscard]] coverage_curve compute_coverage(const anycast::deployment& dep,
                                               const pop::user_base& base,
                                               const topo::region_table& regions,

@@ -214,11 +214,14 @@ cdn_inflation_result compute_cdn_inflation(const cdn::server_log_table& logs,
     cdn_inflation_result result;
     result.geographic_by_ring.resize(static_cast<std::size_t>(cdn.ring_count()));
     result.latency_by_ring.resize(static_cast<std::size_t>(cdn.ring_count()));
+    std::vector<std::vector<double>> min_km_by_ring;
+    for (int ring = 0; ring < cdn.ring_count(); ++ring) {
+        min_km_by_ring.push_back(cdn.nearest_front_end_km_by_region(ring));
+    }
 
     for (std::size_t i = 0; i < logs.rows(); ++i) {
         const auto ring = static_cast<std::size_t>(logs.ring[i]);
-        const auto user_loc = cdn.regions().at(logs.region[i]).location;
-        const double min_km = cdn.nearest_front_end_km(user_loc, logs.ring[i]);
+        const double min_km = min_km_by_ring.at(ring).at(logs.region[i]);
         const double gi_ms =
             std::max(0.0, geo::round_trip_fiber_ms(logs.front_end_km[i]) -
                               geo::round_trip_fiber_ms(min_km));

@@ -12,6 +12,7 @@ unicast_comparison compare_with_unicast(const anycast::deployment& dep,
     unicast_comparison result;
     double total_users = 0.0;
     double optimal_users = 0.0;
+    const auto nearest_km = dep.nearest_global_site_km_by_region();
 
     for (const auto& loc : users.locations()) {
         const auto anycast_path = dep.rib().select(loc.asn, loc.region);
@@ -36,8 +37,7 @@ unicast_comparison compare_with_unicast(const anycast::deployment& dep,
         if (best_site == anycast_path->site) optimal_users += loc.users;
         result.anycast_penalty_ms.add(std::max(0.0, anycast_path->rtt_ms - best_unicast),
                                       loc.users);
-        const double bound = geo::best_case_rtt_ms(
-            dep.nearest_global_site_km(dep.regions().at(loc.region).location));
+        const double bound = geo::best_case_rtt_ms(nearest_km.at(loc.region));
         result.unicast_inflation_ms.add(std::max(0.0, best_unicast - bound), loc.users);
     }
 

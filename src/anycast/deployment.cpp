@@ -33,6 +33,14 @@ double deployment::nearest_global_site_km(const geo::point& p) const {
     return best;
 }
 
+std::vector<double> deployment::nearest_global_site_km_by_region() const {
+    std::vector<topo::region_id> global_regions;
+    for (const auto& s : sites_) {
+        if (s.scope == route::announcement_scope::global) global_regions.push_back(s.region);
+    }
+    return regions_->nearest_km(global_regions);
+}
+
 namespace {
 
 // Picks site regions for a deployment. Population-weighted strategies favor

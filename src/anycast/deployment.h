@@ -49,8 +49,15 @@ public:
 
     /// Great-circle distance (km) from `p` to the nearest *global* site —
     /// the min_k d(R, j_k) term of Eq. 1 and Eq. 2 (§3.1 considers global
-    /// sites only, since local-site reachability is unknown).
+    /// sites only, since local-site reachability is unknown). For points
+    /// that are not region centres (e.g. a geolocated /24).
     [[nodiscard]] double nearest_global_site_km(const geo::point& p) const;
+
+    /// The same term for every region centre, indexed by region id: entry r
+    /// equals `nearest_global_site_km(regions().at(r).location)` bit for bit
+    /// (same matrix entries, same site order), without any haversine work.
+    /// Computed on each call; the deployment keeps no copy.
+    [[nodiscard]] std::vector<double> nearest_global_site_km_by_region() const;
 
     /// The site record for a site id.
     [[nodiscard]] const site& site_at(route::site_id id) const { return sites_.at(id); }

@@ -144,13 +144,9 @@ std::optional<cdn_network::cdn_path> cdn_network::evaluate(topo::asn_t asn,
     return path;
 }
 
-double cdn_network::nearest_front_end_km(const geo::point& p, int ring) const {
-    const int members = ring_size(ring);
-    double best = std::numeric_limits<double>::infinity();
-    for (int i = 0; i < members; ++i) {
-        best = std::min(best, geo::distance_km(p, regions_->at(front_ends_[static_cast<std::size_t>(i)]).location));
-    }
-    return best;
+std::vector<double> cdn_network::nearest_front_end_km_by_region(int ring) const {
+    const auto members = static_cast<std::size_t>(ring_size(ring));
+    return regions_->nearest_km(std::span{front_ends_}.first(members));
 }
 
 } // namespace ac::cdn

@@ -78,8 +78,11 @@ public:
     [[nodiscard]] std::optional<cdn_path> evaluate(topo::asn_t asn, topo::region_id region,
                                                    int ring) const;
 
-    /// Distance from `p` to the nearest front-end of `ring` (Eq. 1's min_k).
-    [[nodiscard]] double nearest_front_end_km(const geo::point& p, int ring) const;
+    /// Distance from each region centre to the nearest front-end of `ring`
+    /// (Eq. 1's min_k), indexed by region id. Read from the region distance
+    /// matrix, so each entry is bit-identical to a `geo::distance_km` min
+    /// over the ring's front-ends in importance order.
+    [[nodiscard]] std::vector<double> nearest_front_end_km_by_region(int ring) const;
 
     /// The PoP-level routing state (one announcement per PoP; shared by all
     /// rings because all routers announce all rings).

@@ -37,6 +37,14 @@ const std::vector<region_id>& region_table::on_continent(continent c) const {
     return by_continent_.at(static_cast<std::size_t>(c));
 }
 
+std::vector<double> region_table::nearest_km(std::span<const region_id> targets) const {
+    std::vector<double> best(regions_.size(), std::numeric_limits<double>::infinity());
+    for (const region_id t : targets) {
+        for (region_id r = 0; r < best.size(); ++r) best[r] = std::min(best[r], distance_km(r, t));
+    }
+    return best;
+}
+
 region_id region_table::nearest(const geo::point& p) const {
     region_id best = 0;
     double best_km = std::numeric_limits<double>::infinity();

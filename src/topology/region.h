@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -79,6 +80,13 @@ public:
         return distances_.between(a, b);
     }
     [[nodiscard]] const geo::distance_table& distances() const noexcept { return distances_; }
+
+    /// For every region, the distance from its centre to the nearest of
+    /// `targets` (Eq. 1's min_k; +inf when `targets` is empty), indexed by
+    /// region id. Entry r is the min of `distance_km(r, t)` over `targets`
+    /// in the given order, so it is bit-identical to the same min of
+    /// `geo::distance_km(at(r).location, at(t).location)`.
+    [[nodiscard]] std::vector<double> nearest_km(std::span<const region_id> targets) const;
 
     /// Total population weight across all regions.
     [[nodiscard]] double total_population_weight() const noexcept { return total_weight_; }

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "src/anycast/deployment.h"
+#include "src/dns/root_letters.h"
 #include "src/topology/generator.h"
 
 namespace {
@@ -108,6 +109,22 @@ TEST_F(DeploymentFixture, NearestGlobalSiteIgnoresLocalSites) {
         manual = std::min(manual, geo::distance_km(p, regions_.at(s.region).location));
     }
     EXPECT_DOUBLE_EQ(dep.nearest_global_site_km(p), manual);
+}
+
+TEST_F(DeploymentFixture, NearestGlobalSiteByRegionIsBitIdenticalToPointForm) {
+    // Every root letter (including local-site-heavy and single-site ones):
+    // the region-indexed min_k must equal the point form at each region
+    // centre exactly, not merely within rounding.
+    const dns::root_system roots{dns::letters_2018(), graph_, regions_, 21};
+    for (char letter : roots.all_letters()) {
+        const auto& dep = roots.deployment_of(letter);
+        const auto by_region = dep.nearest_global_site_km_by_region();
+        ASSERT_EQ(by_region.size(), regions_.size()) << letter;
+        for (const auto& region : regions_.all()) {
+            EXPECT_EQ(by_region[region.id], dep.nearest_global_site_km(region.location))
+                << letter << "-root, region " << region.id;
+        }
+    }
 }
 
 TEST_F(DeploymentFixture, CatchmentCoversRoutableSources) {

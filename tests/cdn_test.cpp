@@ -1,6 +1,9 @@
 // CDN ring structure, path evaluation, and telemetry generation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "src/cdn/telemetry.h"
 #include "src/core/world.h"
 
@@ -74,10 +77,38 @@ TEST_F(CdnFixture, FrontEndBelongsToRing) {
 }
 
 TEST_F(CdnFixture, NearestFrontEndShrinksWithRingSize) {
-    const auto p = w().regions().at(0).location;
+    // Rings are nested, so every region's nearest front-end can only get
+    // closer as the ring grows.
+    auto smaller = net().nearest_front_end_km_by_region(0);
     for (int ring = 1; ring < net().ring_count(); ++ring) {
-        EXPECT_LE(net().nearest_front_end_km(p, ring),
-                  net().nearest_front_end_km(p, ring - 1) + 1e-9);
+        auto larger = net().nearest_front_end_km_by_region(ring);
+        for (std::size_t r = 0; r < larger.size(); ++r) {
+            EXPECT_LE(larger[r], smaller[r]) << net().ring_name(ring) << " region " << r;
+        }
+        smaller = std::move(larger);
+    }
+}
+
+TEST_F(CdnFixture, NearestFrontEndByRegionIsBitIdenticalToHaversineScan) {
+    // The region form reads the region distance matrix; each entry must be
+    // exactly the haversine min over the ring's front-ends, scanned in
+    // importance order from the region centre.
+    const auto& regions = w().regions();
+    const auto& fes = net().front_end_regions();
+    for (int ring = 0; ring < net().ring_count(); ++ring) {
+        const auto by_region = net().nearest_front_end_km_by_region(ring);
+        ASSERT_EQ(by_region.size(), regions.size());
+        for (const auto& region : regions.all()) {
+            double manual = std::numeric_limits<double>::infinity();
+            for (int i = 0; i < net().ring_size(ring); ++i) {
+                manual = std::min(manual,
+                                  geo::distance_km(region.location,
+                                                   regions.at(fes[static_cast<std::size_t>(i)])
+                                                       .location));
+            }
+            EXPECT_EQ(by_region[region.id], manual)
+                << net().ring_name(ring) << " region " << region.id;
+        }
     }
 }
 

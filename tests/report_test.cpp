@@ -206,4 +206,29 @@ TEST_F(ReportFixture, ObservabilityNeverChangesFigureBytes) {
     std::filesystem::remove_all(dir);
 }
 
+TEST_F(ReportFixture, TracedReportSpansEveryProducerAndCsvWrite) {
+    // The figure phase is attributed: one span per producer and one per
+    // CSV write, and the traced run still renders the goldens.
+    obs::enable_tracing();
+    const auto dir = temp_dir();
+    const auto files = core::write_figure_csvs(w(), dir.string());
+    obs::disable_tracing();
+
+    expect_golden_files(files, "report spans");
+    std::ostringstream trace;
+    obs::write_chrome_trace(trace);
+    const auto json = trace.str();
+    std::vector<std::string> names{"report/root_inflation", "report/cdn_inflation",
+                                   "report/amortization",   "report/aspath",
+                                   "report/probe_latency",  "report/coverage"};
+    for (const auto& f : files) {
+        names.push_back("report/write/" + std::filesystem::path{f}.stem().string());
+    }
+    for (const auto& name : names) {
+        EXPECT_NE(json.find("\"name\": \"" + name + "\""), std::string::npos) << name;
+    }
+    EXPECT_EQ(obs::trace_dropped_count(), 0u);
+    std::filesystem::remove_all(dir);
+}
+
 } // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -64,9 +65,26 @@ public:
     /// Sends `raw` verbatim and returns everything up to the end of the
     /// response body (headers + body), or "" on socket failure.
     std::string round_trip(const std::string& raw) {
-        if (::send(fd_, raw.data(), raw.size(), 0) != static_cast<ssize_t>(raw.size())) {
-            return {};
-        }
+        if (!send_all(raw)) return {};
+        return read_response();
+    }
+
+    std::string get(const std::string& target) {
+        return round_trip("GET " + target + " HTTP/1.1\r\nHost: t\r\n\r\n");
+    }
+
+    bool send_all(const std::string& raw) {
+        return ::send(fd_, raw.data(), raw.size(), 0) == static_cast<ssize_t>(raw.size());
+    }
+
+    /// True when at least one byte (or EOF) is readable within `ms`.
+    [[nodiscard]] bool readable_within(int ms) const {
+        pollfd pfd{fd_, POLLIN, 0};
+        return ::poll(&pfd, 1, ms) > 0;
+    }
+
+    /// Reads one response (headers + body), or "" on socket failure.
+    std::string read_response() {
         std::string response;
         std::size_t header_end = std::string::npos;
         while (header_end == std::string::npos) {
@@ -79,10 +97,6 @@ public:
             if (!fill(response)) return {};
         }
         return response.substr(0, body_start + length);
-    }
-
-    std::string get(const std::string& target) {
-        return round_trip("GET " + target + " HTTP/1.1\r\nHost: t\r\n\r\n");
     }
 
     static int status_of(const std::string& response) {
@@ -119,7 +133,10 @@ private:
 /// Server bound to an ephemeral port for the duration of a test.
 class running_server {
 public:
-    running_server() : server_(engine(), {.port = 0}) { server_.start(); }
+    explicit running_server(serve::http_options options = {.port = 0})
+        : server_(engine(), options) {
+        server_.start();
+    }
     ~running_server() { server_.stop(); }
     [[nodiscard]] std::uint16_t port() const { return server_.port(); }
 
@@ -293,6 +310,26 @@ TEST(ServeHttp, KeepAliveServesManyRequestsPerConnection) {
         ASSERT_EQ(test_client::status_of(response), 200) << "request " << i;
         ASSERT_EQ(test_client::body_of(response), expected) << "request " << i;
     }
+}
+
+TEST(ServeHttp, ConnectionCapQueuesExcessClients) {
+    running_server server{{.port = 0, .max_connections = 1}};
+    // A holds the only slot and never sends a byte. It connects first, and
+    // the listen queue is FIFO, so the acceptor takes A before B; B's
+    // request then waits for the slot.
+    auto idle = std::make_unique<test_client>(server.port());
+    ASSERT_TRUE(idle->connected());
+    test_client waiting{server.port()};
+    ASSERT_TRUE(waiting.connected());
+    ASSERT_TRUE(waiting.send_all("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"));
+    EXPECT_FALSE(waiting.readable_within(300)) << "served past max_connections = 1";
+
+    // A closes: its slot frees and B is served.
+    idle.reset();
+    ASSERT_TRUE(waiting.readable_within(5000)) << "queued client never served";
+    const auto response = waiting.read_response();
+    EXPECT_EQ(test_client::status_of(response), 200);
+    EXPECT_EQ(test_client::body_of(response), "ok\n");
 }
 
 // ---------------------------------------------------------------------------
